@@ -281,6 +281,16 @@ class ScrubTest : public ::testing::Test {
     options_.env = fenv_.get();
     options_.write_buffer_size = 64 * 1024;
     options_.corruption_reporter = &reporter_;
+    // One write shard, not the hardware_concurrency() default, so the
+    // fixture does not depend on the host's core count:
+    //  * FillAndFlush must leave a single L0 table. One table per shard
+    //    would reach l0_compaction_trigger at 4 shards, and a background
+    //    compaction racing CorruptRandomFile retires the victim.
+    //  * OpenTable's bounds probe reads, and caches, the first and last
+    //    data blocks of every table. The read-path test needs rot in a
+    //    block that only a Get can reach: the one table of 500 entries has
+    //    an uncached middle block, smaller per-shard tables may not.
+    options_.write_shards = 1;
   }
 
   std::unique_ptr<KVStore> OpenStore() {
@@ -297,6 +307,8 @@ class ScrubTest : public ::testing::Test {
                       .ok());
     }
     ASSERT_TRUE(store->FlushMemTable().ok());
+    // Leave no flush or compaction running when the test injects rot.
+    store->WaitForBackgroundWork();
   }
 
   std::unique_ptr<Env> base_env_;
