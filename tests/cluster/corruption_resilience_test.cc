@@ -21,6 +21,11 @@ ClusterOptions CorruptibleClusterOptions(int nodes) {
   options.num_nodes = nodes;
   options.replication_factor = 3;
   options.storage_options.write_buffer_size = 64 * 1024;
+  // One write shard, not the hardware_concurrency() default: FlushAll then
+  // leaves one L0 table per node instead of one per shard, which at four
+  // shards reaches l0_compaction_trigger, and a background compaction
+  // racing the injected rot retires the victim table.
+  options.storage_options.write_shards = 1;
   options.enable_fault_injection = true;
   options.fault_seed = 21;
   return options;

@@ -172,78 +172,87 @@ TEST(FaultInjectionEnvTest, MarkCrashedMakesOperationsFailUntilCleared) {
 // over 100 randomized crash points: every batch written before the last
 // Sync() survives a crash, recovery never fails on a torn WAL tail, and
 // the recovered unsynced batches form an atomic prefix of write order.
+// The contract holds for any shard count, so the shard count is pinned
+// (not the hardware_concurrency() default) and swept: at one shard the
+// whole history sits in one WAL; at four and eight the 5-row batches
+// span several WAL partitions.
 TEST(CrashRecoveryPropertyTest, SyncedBatchesSurviveAnyCrash) {
   constexpr int kIterations = 100;
   constexpr int kRowsPerBatch = 5;
-  for (int iteration = 0; iteration < kIterations; ++iteration) {
-    SCOPED_TRACE("iteration " + std::to_string(iteration));
-    auto base = NewMemEnv();
-    FaultInjectionEnv fenv(base.get(), /*seed=*/1000 + iteration);
+  for (int write_shards : {1, 4, 8}) {
+    SCOPED_TRACE("write_shards " + std::to_string(write_shards));
+    for (int iteration = 0; iteration < kIterations; ++iteration) {
+      SCOPED_TRACE("iteration " + std::to_string(iteration));
+      auto base = NewMemEnv();
+      FaultInjectionEnv fenv(base.get(), /*seed=*/1000 + iteration);
 
-    Options options;
-    options.env = &fenv;
-    // Large buffer: no memtable switch, so the whole history sits in one
-    // WAL and the sync point cleanly splits durable from volatile batches.
-    options.write_buffer_size = 8 * 1024 * 1024;
-    options.wal_sync = false;
-    auto store = KVStore::Open(options, "/db").MoveValueUnsafe();
+      Options options;
+      options.env = &fenv;
+      options.write_shards = write_shards;
+      // Large buffer: no memtable switch, so the whole history sits in the
+      // active WAL partitions and the sync point cleanly splits durable
+      // from volatile batches.
+      options.write_buffer_size = 8 * 1024 * 1024;
+      options.wal_sync = false;
+      auto store = KVStore::Open(options, "/db").MoveValueUnsafe();
 
-    Random rnd(2000 + iteration);
-    const int num_batches = 1 + static_cast<int>(rnd.Uniform(30));
-    // Batches [0, synced_batches) are covered by the last synced write.
-    const int synced_batches =
-        static_cast<int>(rnd.Uniform(num_batches + 1));
+      Random rnd(2000 + iteration);
+      const int num_batches = 1 + static_cast<int>(rnd.Uniform(30));
+      // Batches [0, synced_batches) are covered by the last synced write.
+      const int synced_batches =
+          static_cast<int>(rnd.Uniform(num_batches + 1));
 
-    auto key = [iteration](int batch, int row) {
-      return "it" + std::to_string(iteration) + "-b" +
-             std::to_string(batch) + "-r" + std::to_string(row);
-    };
-    for (int b = 0; b < num_batches; ++b) {
-      WriteBatch batch;
-      for (int r = 0; r < kRowsPerBatch; ++r) {
-        batch.Put(key(b, r), "v" + std::to_string(b));
-      }
-      WriteOptions write_options;
-      write_options.sync = (b == synced_batches - 1);
-      ASSERT_TRUE(store->Write(write_options, &batch).ok());
-    }
-
-    // Abrupt process death: background threads lose file access first, the
-    // store object dies, then all unsynced bytes vanish (possibly leaving
-    // a torn WAL tail).
-    fenv.MarkCrashed("/db");
-    store.reset();
-    ASSERT_TRUE(fenv.Crash("/db").ok());
-    fenv.ClearCrashed("/db");
-
-    auto reopened = KVStore::Open(options, "/db");
-    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-    store = std::move(reopened).MoveValueUnsafe();
-
-    bool prefix_intact = true;
-    for (int b = 0; b < num_batches; ++b) {
-      int present = 0;
-      for (int r = 0; r < kRowsPerBatch; ++r) {
-        auto result = store->Get(ReadOptions(), key(b, r));
-        if (result.ok()) {
-          ASSERT_EQ(result.ValueOrDie(), "v" + std::to_string(b));
-          present++;
+      auto key = [iteration](int batch, int row) {
+        return "it" + std::to_string(iteration) + "-b" +
+               std::to_string(batch) + "-r" + std::to_string(row);
+      };
+      for (int b = 0; b < num_batches; ++b) {
+        WriteBatch batch;
+        for (int r = 0; r < kRowsPerBatch; ++r) {
+          batch.Put(key(b, r), "v" + std::to_string(b));
         }
+        WriteOptions write_options;
+        write_options.sync = (b == synced_batches - 1);
+        ASSERT_TRUE(store->Write(write_options, &batch).ok());
       }
-      // Batches are atomic: all rows or none.
-      ASSERT_TRUE(present == 0 || present == kRowsPerBatch)
-          << "batch " << b << " recovered partially (" << present << "/"
-          << kRowsPerBatch << " rows)";
-      if (b < synced_batches) {
-        ASSERT_EQ(present, kRowsPerBatch)
-            << "synced batch " << b << " lost in crash";
-      }
-      // Recovered batches form a prefix of write order.
-      if (present == 0) {
-        prefix_intact = false;
-      } else {
-        ASSERT_TRUE(prefix_intact)
-            << "batch " << b << " survived after a missing batch";
+
+      // Abrupt process death: background threads lose file access first, the
+      // store object dies, then all unsynced bytes vanish (possibly leaving
+      // a torn WAL tail).
+      fenv.MarkCrashed("/db");
+      store.reset();
+      ASSERT_TRUE(fenv.Crash("/db").ok());
+      fenv.ClearCrashed("/db");
+
+      auto reopened = KVStore::Open(options, "/db");
+      ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+      store = std::move(reopened).MoveValueUnsafe();
+
+      bool prefix_intact = true;
+      for (int b = 0; b < num_batches; ++b) {
+        int present = 0;
+        for (int r = 0; r < kRowsPerBatch; ++r) {
+          auto result = store->Get(ReadOptions(), key(b, r));
+          if (result.ok()) {
+            ASSERT_EQ(result.ValueOrDie(), "v" + std::to_string(b));
+            present++;
+          }
+        }
+        // Batches are atomic: all rows or none.
+        ASSERT_TRUE(present == 0 || present == kRowsPerBatch)
+            << "batch " << b << " recovered partially (" << present << "/"
+            << kRowsPerBatch << " rows)";
+        if (b < synced_batches) {
+          ASSERT_EQ(present, kRowsPerBatch)
+              << "synced batch " << b << " lost in crash";
+        }
+        // Recovered batches form a prefix of write order.
+        if (present == 0) {
+          prefix_intact = false;
+        } else {
+          ASSERT_TRUE(prefix_intact)
+              << "batch " << b << " survived after a missing batch";
+        }
       }
     }
   }

@@ -375,6 +375,68 @@ TEST(ShardWritePathTest, SnapshotIsolationUnderConcurrentWriters) {
   EXPECT_EQ(store->CountKeysSlow(), expect);
 }
 
+// A batch spanning shards commits as one sequence block and publishes
+// whole: a reader never sees part of it. Small memtables make the writers
+// switch memtables and stall on flushes mid-stream, and every tenth batch
+// is synced, so the multi-shard commit races flushes, stalls and horizon
+// syncs; the run must neither deadlock nor expose half a batch, and an
+// orderly reopen must bring back every batch.
+TEST(ShardWritePathTest, MultiShardBatchesAreAtomicUnderConcurrentWriters) {
+  auto env = NewMemEnv();
+  Options options;
+  options.env = env.get();
+  options.write_shards = 4;
+  options.write_buffer_size = 16 * 1024;
+  auto store = KVStore::Open(options, "/db").MoveValueUnsafe();
+
+  constexpr int kWriters = 4;
+  constexpr int kBatches = 100;
+  constexpr int kRows = 8;
+  auto row_key = [](int w, int b, int r) {
+    char buf[32];
+    snprintf(buf, sizeof(buf), "w%d-b%03d-r%d", w, b, r);
+    return std::string(buf);
+  };
+  const std::string value(200, 'x');
+
+  std::atomic<bool> done{false};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      for (int b = 0; b < kBatches; ++b) {
+        WriteBatch batch;
+        for (int r = 0; r < kRows; ++r) batch.Put(row_key(w, b, r), value);
+        WriteOptions write_options;
+        write_options.sync = (b % 10 == 9);
+        ASSERT_TRUE(store->Write(write_options, &batch).ok());
+      }
+    });
+  }
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      std::map<std::string, int> rows_per_batch;
+      auto it = store->NewIterator(ReadOptions());
+      for (it->SeekToFirst(); it->Valid(); it->Next()) {
+        std::string key = it->key().ToString();
+        rows_per_batch[key.substr(0, key.rfind('-'))]++;
+      }
+      ASSERT_TRUE(it->status().ok());
+      for (const auto& [batch, rows] : rows_per_batch) {
+        ASSERT_EQ(rows, kRows) << "batch " << batch << " partly visible";
+      }
+    }
+  });
+  for (auto& t : writers) t.join();
+  done.store(true, std::memory_order_release);
+  reader.join();
+
+  const uint64_t expect = static_cast<uint64_t>(kWriters) * kBatches * kRows;
+  EXPECT_EQ(store->CountKeysSlow(), expect);
+  store.reset();
+  store = OpenStore(env.get(), 4);
+  EXPECT_EQ(store->CountKeysSlow(), expect);
+}
+
 // Snapshot sequences are cut from the published prefix: a snapshot taken
 // between two of a writer's puts must order between their sequences, and
 // snapshots are monotone even when the intervening writes landed on many
