@@ -73,8 +73,8 @@ int main(int argc, char** argv) {
          "2 iterations\n",
          substations, static_cast<unsigned long long>(total_kvps));
   printf("============================================================\n");
-  printf("%8s %14s %14s %14s %12s\n", "nodes", "IoTps", "measured[s]",
-         "queries", "q-avg[ms]");
+  printf("%8s %14s %14s %14s %12s %12s %12s\n", "nodes", "IoTps",
+         "measured[s]", "queries", "q-avg[ms]", "q-p50[ms]", "q-p99[ms]");
 
   uint64_t total_ingested = 0;  // across every warmup + measured run
   for (int nodes : {2, 4, 8}) {
@@ -125,10 +125,11 @@ int main(int argc, char** argv) {
     const auto& measured =
         result.iterations[result.performance_run].measured;
     Histogram queries = measured.MergedQueryLatency();
-    printf("%8d %14.0f %14.2f %14llu %12.2f\n", nodes, result.IoTps(),
-           measured.metrics.ElapsedSeconds(),
+    printf("%8d %14.0f %14.2f %14llu %12.2f %12.2f %12.2f\n", nodes,
+           result.IoTps(), measured.metrics.ElapsedSeconds(),
            static_cast<unsigned long long>(queries.count()),
-           queries.Mean() / 1000.0);
+           queries.Mean() / 1000.0, queries.Percentile(50) / 1000.0,
+           queries.Percentile(99) / 1000.0);
     // Stage-attribution reconciliation: on this replicated path the op's
     // critical path is the cluster stage group, so its per-stage p99 sum
     // should land near the measured insert p99 (the FDR "Latency
